@@ -15,7 +15,7 @@ use padico_core::{
 };
 use simnet::{MetricsSnapshot, NetworkSpec, NodeId, SimRng, SimWorld};
 
-use crate::harness::{self, derive, median, span, tail, timed, RoundOut};
+use crate::harness::{self, derive, mean, median, span, tail, timed, RoundOut};
 use crate::worldstats::{self, run_while_budget, WorldCounters};
 
 /// Sites in the initial ring.
@@ -27,7 +27,7 @@ const PROBE_BYTES: (u64, u64) = (7_800, 8_600);
 /// A probe runs after every this many flap steps.
 const PROBE_EVERY: usize = 8;
 /// Worlds per round, each on its own derived seed.
-const WORLDS: u64 = 4;
+const WORLDS: u64 = 8;
 /// Events one world may execute before it is stopped and counted failed
 /// (a healthy world needs about 125 000).
 const EVENT_BUDGET: u64 = 250_000;
@@ -108,7 +108,7 @@ fn one_world(seed: u64) -> WorldOut {
     harness::begin_op();
 
     // ---- Setup: world, ring, runtimes, schedule, probe pairs ---------- //
-    let setup_start = harness::now_ns();
+    let setup_start = harness::cpu_ns();
     let mut world = SimWorld::new(seed);
     world.max_events_per_run = Some(EVENT_BUDGET);
     let specs: Vec<SiteSpec> = (0..SITES)
@@ -147,7 +147,7 @@ fn one_world(seed: u64) -> WorldOut {
             )
         })
         .collect();
-    let setup_s = (harness::now_ns() - setup_start) as f64 / 1e9;
+    let setup_s = (harness::cpu_ns() - setup_start) as f64 / 1e9;
 
     // ---- Run: probes between flap steps, then live admit and drain ---- //
     let mut budget = EVENT_BUDGET;
@@ -180,14 +180,14 @@ fn one_world(seed: u64) -> WorldOut {
     // Transient checks run between the steps but are not part of run_s.
     let mut check_ns = 0u64;
     let mut check = |world: &SimWorld, grid: &GridTopology| {
-        let t = harness::now_ns();
+        let t = harness::cpu_ns();
         transient_violations += span("bench", "check_transients", || {
             check_transients(world, grid).len()
         });
-        check_ns += harness::now_ns() - t;
+        check_ns += harness::cpu_ns() - t;
     };
 
-    let run_start = harness::now_ns();
+    let run_start = harness::cpu_ns();
     run_probe(&mut world, &rts, &grid, probes[0], &mut virt, &mut budget);
     for (i, delta) in schedule.deltas.iter().enumerate() {
         virt.steps += 1;
@@ -265,7 +265,7 @@ fn one_world(seed: u64) -> WorldOut {
         run_while_budget(&mut world, &mut budget, || true)
     });
     virt.budget_exhausted = !quiesced;
-    let run_s = (harness::now_ns() - run_start - check_ns) as f64 / 1e9;
+    let run_s = (harness::cpu_ns() - run_start - check_ns) as f64 / 1e9;
     let full_recomputes = full_recomputes() - recomputes_before;
 
     // ---- Check: conservation at quiescence ---------------------------- //
@@ -306,6 +306,9 @@ pub fn run(seed: u64, out: &mut RoundOut) {
     let planned = (FLAPS * 2 + 2 + FLAPS * 2 / PROBE_EVERY + 4) as u64;
     let mut worlds: Vec<WorldOut> = Vec::new();
     for i in 0..WORLDS {
+        if i > 0 {
+            harness::calibrate();
+        }
         let o = match worldstats::guarded(|| one_world(derive(seed, i))) {
             Ok(o) => o,
             Err(why) => {
@@ -344,10 +347,10 @@ pub fn run(seed: u64, out: &mut RoundOut) {
 
     let total = |f: &dyn Fn(&WorldOut) -> f64| worlds.iter().map(f).sum::<f64>();
     let each = |f: &dyn Fn(&WorldOut) -> f64| worlds.iter().map(f).collect::<Vec<f64>>();
-    // Median per world, so a world stopped by its budget neither shifts
-    // them nor lets one slow world dominate the round.
-    out.host("setup_s", "s", median(&each(&|o| o.setup_s)));
-    out.host("run_s", "s", median(&each(&|o| o.run_s)));
+    // Mean per world: the worlds of a seed differ in cost, and the mean
+    // varies less from seed to seed than a median.
+    out.host("setup_s", "s", mean(&each(&|o| o.setup_s)));
+    out.host("run_s", "s", mean(&each(&|o| o.run_s)));
     let probe_us: Vec<f64> = worlds
         .iter()
         .flat_map(|o| o.virt.probe_us.iter().copied())

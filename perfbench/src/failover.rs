@@ -10,7 +10,7 @@ use padico_bench::conservation_violations;
 use padico_core::{runtimes_for_grid, PadicoRuntime, SelectorPreferences, VLink, VLinkEvent};
 use simnet::{MetricsSnapshot, NetworkSpec, SimDuration, SimWorld};
 
-use crate::harness::{self, derive, median, span, timed, RoundOut};
+use crate::harness::{self, cpu_timed, derive, mean, median, span, timed, RoundOut};
 use crate::worldstats::{self, run_while_budget, WorldCounters};
 
 /// Concurrent streams (one per sender node).
@@ -20,7 +20,7 @@ const STREAM_BYTES: usize = 192 * 1024;
 /// Senders start at seeded offsets within this window (ns).
 const START_SPREAD_NS: u64 = 10_000_000;
 /// Worlds per round, each on its own derived seed.
-const WORLDS: u64 = 4;
+const WORLDS: u64 = 8;
 /// Events one world may execute before it is stopped and its streams
 /// counted as failed (a healthy world needs well under a tenth of it).
 const EVENT_BUDGET: u64 = 400_000;
@@ -61,7 +61,7 @@ fn one_world(seed: u64) -> WorldOut {
     harness::begin_op();
 
     // ---- Setup: world, topology, runtimes, listeners, inputs ---------- //
-    let setup_start = harness::now_ns();
+    let setup_start = harness::cpu_ns();
     let mut world = SimWorld::new(seed);
     world.max_events_per_run = Some(EVENT_BUDGET);
     let regions = vec![
@@ -144,11 +144,11 @@ fn one_world(seed: u64) -> WorldOut {
         .map(|s| SimDuration::from_nanos(derive(seed, 0x5700 + s as u64) % START_SPREAD_NS))
         .collect();
     offsets.sort();
-    let setup_s = (harness::now_ns() - setup_start) as f64 / 1e9;
+    let setup_s = (harness::cpu_ns() - setup_start) as f64 / 1e9;
 
     // ---- Run: streams, kill at a third, migrate, quiesce -------------- //
     let mut budget = EVENT_BUDGET;
-    let (run_s, (recovery_ms, ok, start, end)) = timed(|| {
+    let (run_s, (recovery_ms, ok, start, end)) = cpu_timed(|| {
         let start = world.now();
         for (s, rt) in senders.iter().enumerate() {
             span("simnet", "run_until", || {
@@ -240,6 +240,9 @@ pub fn run(seed: u64, out: &mut RoundOut) {
     // broken, fails all its streams; the reason is reported with the run.
     let mut worlds: Vec<WorldOut> = Vec::new();
     for i in 0..WORLDS {
+        if i > 0 {
+            harness::calibrate();
+        }
         let o = match worldstats::guarded(|| one_world(derive(seed, i))) {
             Ok(o) => o,
             Err(why) => {
@@ -263,10 +266,10 @@ pub fn run(seed: u64, out: &mut RoundOut) {
 
     let total = |f: &dyn Fn(&WorldOut) -> f64| worlds.iter().map(f).sum::<f64>();
     let each = |f: &dyn Fn(&WorldOut) -> f64| worlds.iter().map(f).collect::<Vec<f64>>();
-    // Median per world, so a world stopped by its budget neither shifts
-    // them nor lets one slow world dominate the round.
-    out.host("setup_s", "s", median(&each(&|o| o.setup_s)));
-    out.host("run_s", "s", median(&each(&|o| o.run_s)));
+    // Mean per world: the worlds of a seed differ in cost, and the mean
+    // over eight of them varies less from seed to seed than a median.
+    out.host("setup_s", "s", mean(&each(&|o| o.setup_s)));
+    out.host("run_s", "s", mean(&each(&|o| o.run_s)));
 
     out.exact(
         "virt_goodput_mb_s",

@@ -2,7 +2,7 @@
 //! clocks, spans, sample statistics, resident memory and the result line.
 
 // simlint: allow-file(D2, reason = "the benchmark measures host time by design; host clocks never feed virtual-time results")
-// simlint: allow-file(D4, reason = "a OnceLock holds the process clock epoch; no simulation state is shared")
+// simlint: allow-file(D4, reason = "OnceLocks hold the process clock epoch and the CPU-clock probe, and a yield refreshes the CPU clock; no simulation state is shared")
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -106,6 +106,121 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let t0 = Instant::now();
     let out = f();
     (t0.elapsed().as_secs_f64(), out)
+}
+
+/// The calling thread's run time so far, from the kernel's per-thread
+/// accounting (first field of `/proc/thread-self/schedstat`).
+fn schedstat_ns() -> Option<u64> {
+    // The kernel brings the running thread's figure up to date only at a
+    // tick or a reschedule; yielding makes it exact to the microsecond.
+    std::thread::yield_now();
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
+/// Whether [`cpu_ns`] reads the per-thread CPU clock (else it falls back
+/// to the monotonic wall clock). Decided once per process.
+pub fn cpu_clock() -> bool {
+    static AVAILABLE: OnceLock<bool> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        // Burn a little CPU so a working clock cannot read 0.
+        let t = Instant::now();
+        let mut x = 0u64;
+        while t.elapsed().as_micros() < 2_000 {
+            x = std::hint::black_box(x.wrapping_add(1));
+        }
+        schedstat_ns().is_some_and(|ns| ns > 0)
+    })
+}
+
+/// CPU nanoseconds the calling thread has run. Unlike wall time this
+/// leaves out time the thread spent waiting for a processor, whether
+/// another process or the hypervisor had it, so it stays steady on a
+/// shared host. Falls back to [`now_ns`] where the kernel does not
+/// provide the figure (see [`cpu_clock`]).
+pub fn cpu_ns() -> u64 {
+    if cpu_clock() {
+        schedstat_ns().unwrap_or(0)
+    } else {
+        now_ns()
+    }
+}
+
+/// CPU seconds the calling thread spent in `f` ([`cpu_ns`]), with its
+/// result.
+pub fn cpu_timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = cpu_ns();
+    let out = f();
+    ((cpu_ns() - t0) as f64 / 1e9, out)
+}
+
+// --------------------------------------------------------------------- //
+// Host speed calibration
+// --------------------------------------------------------------------- //
+
+/// CPU seconds [`calibration_kernel`] takes on the reference host. Host
+/// times are reported at this speed (see [`speed_factor`]).
+pub const CALIBRATION_REF_S: f64 = 0.005;
+
+/// A fixed piece of work shaped like the simulator's own: ordered-map
+/// inserts and removals, small boxed allocations freed out of order, and
+/// bulk byte copies. It never calls into the program, so a change to the
+/// program cannot change its cost.
+fn calibration_kernel() -> u64 {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut map = std::collections::BTreeMap::new();
+    let mut boxes: Vec<Box<[u64; 8]>> = Vec::with_capacity(2048);
+    let mut buf = vec![0u8; 128 * 1024];
+    let mut acc = 0u64;
+    for i in 0..12_000u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        map.insert(x % 8_192, i);
+        if i % 2 == 0 {
+            map.remove(&(x.rotate_left(23) % 8_192));
+        }
+        boxes.push(Box::new([x; 8]));
+        if boxes.len() == 2048 {
+            acc = acc.wrapping_add(boxes.swap_remove((x % 2048) as usize)[3]);
+        }
+        if i % 128 == 0 {
+            let copy = buf.clone();
+            let at = (x % copy.len() as u64) as usize;
+            acc = acc.wrapping_add(u64::from(copy[at]));
+            buf[at] = x as u8;
+        }
+    }
+    std::hint::black_box(acc.wrapping_add(map.len() as u64 + boxes.len() as u64))
+}
+
+thread_local! {
+    static CALIBRATION: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Times [`calibration_kernel`] once and keeps the sample. A round calls
+/// it at its start and end and between its worlds, so the samples follow
+/// the host's speed through the round.
+pub fn calibrate() {
+    let (s, _) = cpu_timed(calibration_kernel);
+    CALIBRATION.with(|c| c.borrow_mut().push(s));
+}
+
+/// Reference over measured calibration time: multiplying a CPU time
+/// measured during the round by it gives the time at reference speed.
+/// On a shared host the speed of a core moves in phases of seconds with
+/// what the other tenants run on it (CPU time excludes waiting, but not
+/// a slowed core); the kernel slows with it, so the product stays put.
+pub fn speed_factor() -> f64 {
+    let samples = CALIBRATION.with(|c| c.borrow().clone());
+    if samples.is_empty() {
+        return 1.0;
+    }
+    CALIBRATION_REF_S / median(&samples).max(1e-9)
 }
 
 /// One recorded span: a call from the benchmark into a layer.
@@ -292,6 +407,11 @@ pub fn quantile(v: &[f64], q: f64) -> f64 {
 /// Median of the samples; 0 for no samples.
 pub fn median(v: &[f64]) -> f64 {
     quantile(v, 0.5)
+}
+
+/// Mean of the samples; 0 for no samples.
+pub fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len().max(1) as f64
 }
 
 /// The tail of a timing: the highest of p99.9 / p99 / p90 that still has

@@ -165,8 +165,10 @@ fn child(args: &Args, run: Workload, round: usize) {
     std::panic::set_hook(Box::new(|info| eprintln!("perfbench: panic: {info}")));
     harness::set_tracing(args.trace);
     let mut out = RoundOut::default();
+    harness::calibrate();
     run(args.seed, &mut out);
-    out.host("peak_rss_mb", "MB", harness::peak_rss_mb());
+    harness::calibrate();
+    let speed = harness::speed_factor();
     if args.trace {
         harness::set_tracing(false);
         let spans = harness::spans();
@@ -193,6 +195,14 @@ fn child(args: &Args, run: Workload, round: usize) {
                 .push(format!("could not write spans to {}: {e}", path.display()));
         }
     }
+    // Every host time of the round, at reference speed.
+    for v in &mut out.values {
+        if v.kind == Kind::Host && ["s", "ms", "us", "ns"].contains(&v.unit.as_str()) {
+            v.value *= speed;
+        }
+    }
+    out.host("peak_rss_mb", "MB", harness::peak_rss_mb());
+    out.host("stamp.speed_factor", "ratio", speed);
     print!("{}", out.to_lines());
 }
 
@@ -305,18 +315,38 @@ fn main() {
     } else {
         MIN_ROUNDS
     };
-    while outs.len() < min_rounds || t0.elapsed().as_secs_f64() < args.seconds {
+    // After the minimum, a round starts only if it can end in time,
+    // judging by the longest round so far.
+    let mut longest = 0.0f64;
+    while outs.len() < min_rounds || t0.elapsed().as_secs_f64() + longest < args.seconds {
+        let round_start = Instant::now();
         let traced = args.trace && outs.len() % 2 == 1;
         match spawn_round(&args, outs.len(), traced) {
-            Ok(out) => outs.push((traced, out)),
+            Ok(out) => {
+                outs.push((traced, out));
+                longest = longest.max(round_start.elapsed().as_secs_f64());
+            }
             Err(e) => {
                 problems.push(e);
                 break;
             }
         }
     }
-    let attempted: u64 = outs.iter().map(|(_, o)| o.attempted).sum();
-    let failed: u64 = outs.iter().map(|(_, o)| o.failed).sum();
+    // Every round runs the same worlds, so each operation is counted once:
+    // the counts are one round's, and every round must repeat them (the
+    // number of rounds depends on host speed; the counts must not).
+    let (attempted, failed) = outs
+        .first()
+        .map_or((0, 0), |(_, o)| (o.attempted, o.failed));
+    if let Some((_, o)) = outs
+        .iter()
+        .find(|(_, o)| (o.attempted, o.failed) != (attempted, failed))
+    {
+        problems.push(format!(
+            "operation counts differ across rounds: {attempted}/{failed} and {}/{}",
+            o.attempted, o.failed
+        ));
+    }
     let threads = outs.iter().map(|(_, o)| o.threads).max().unwrap_or(0);
     for (_, o) in &outs {
         problems.extend(o.problems.iter().cloned());
@@ -348,9 +378,12 @@ fn main() {
     }
     let layer = layer_metrics();
     let e2e: Vec<(String, &'static str)> = E2E.iter().map(|&(n, u)| (n.to_string(), u)).collect();
-    // `check.*` values only take part in the cross-round comparison.
+    // `check.*` values only take part in the cross-round comparison;
+    // `stamp.*` values go to the stamp line.
     if let Some(m) = metrics.iter().find(|m| {
-        !m.name.starts_with("check.") && !e2e.iter().chain(&layer).any(|(n, _)| *n == m.name)
+        !m.name.starts_with("check.")
+            && !m.name.starts_with("stamp.")
+            && !e2e.iter().chain(&layer).any(|(n, _)| *n == m.name)
     }) {
         problems.push(format!("metric {} is not declared", m.name));
     }
@@ -378,13 +411,23 @@ fn main() {
     };
     println!(
         "stamp: {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"rounds\": {}, \
-         \"nproc\": {nproc}, \"profile\": \"{profile}\", \"git_rev\": \"{}\", \"threads\": {threads}}}",
+         \"nproc\": {nproc}, \"profile\": \"{profile}\", \"git_rev\": \"{}\", \"threads\": {threads}, \
+         \"clock\": \"{}\", \"speed_factor\": {:.4}}}",
         args.workload,
         args.seed,
         args.seconds,
         u8::from(args.trace),
         outs.len(),
         git_revision(),
+        if harness::cpu_clock() {
+            "thread-cpu"
+        } else {
+            "wall"
+        },
+        plain
+            .iter()
+            .find(|m| m.name == "stamp.speed_factor")
+            .map_or(1.0, |m| m.value),
     );
     for m in &metrics {
         println!("metric {} = {} {}", m.name, m.value, m.unit);

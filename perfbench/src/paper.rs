@@ -22,7 +22,7 @@ use transport::{
     VrpConfig, VrpReceiver, VrpSender,
 };
 
-use crate::harness::{self, derive, median, span, tail, timed, RoundOut};
+use crate::harness::{self, cpu_timed, derive, median, span, tail, timed, RoundOut};
 use crate::worldstats::{self, run_while_budget, WorldCounters};
 
 /// Round trips sampled at 32 B and at 1 MB for the host-time tails.
@@ -328,7 +328,7 @@ fn measure(
 ) -> StackOut {
     let rss_before = harness::rss_mb();
     harness::begin_op();
-    let (setup_s, mut fx) = timed(|| span("middleware", "fixture", || build(stack, seed)));
+    let (setup_s, mut fx) = cpu_timed(|| span("middleware", "fixture", || build(stack, seed)));
     let mut rtts = 0u64;
     let mut failed = 0u64;
     let mut rtt = |fx: &mut Fixture, size: usize| -> Option<f64> {
@@ -337,7 +337,7 @@ fn measure(
         failed += u64::from(r.is_none());
         r
     };
-    let (run_s, (latency_us, small_latency_us, points)) = timed(|| {
+    let (run_s, (latency_us, small_latency_us, points)) = cpu_timed(|| {
         let latency = rtt(&mut fx, 4).map_or(f64::NAN, |r| r / 2.0);
         let small: Vec<f64> = if stack == Stack::Mpi {
             small
@@ -391,7 +391,7 @@ fn measure(
 /// VTHD: goodput (MB/s) of one `bytes` transfer over `streams` parallel
 /// TCP streams on the seeded WAN pair, with its setup and run seconds.
 fn vthd(seed: u64, streams: usize, bytes: usize) -> (f64, f64, Option<f64>, WorldCounters) {
-    let (setup_s, (mut p, client, received)) = timed(|| {
+    let (setup_s, (mut p, client, received)) = cpu_timed(|| {
         span("transport", "parallel_stream_setup", || {
             let mut p = topology::wan_pair(seed);
             let sa = TcpStack::new(&mut p.world, p.a);
@@ -416,7 +416,7 @@ fn vthd(seed: u64, streams: usize, bytes: usize) -> (f64, f64, Option<f64>, Worl
             (p, client, received)
         })
     });
-    let (run_s, goodput) = timed(|| {
+    let (run_s, goodput) = cpu_timed(|| {
         span("transport", "parallel_stream_transfer", || {
             let start = p.world.now();
             client.send_all(&mut p.world, &vec![0u8; bytes]);
@@ -436,7 +436,7 @@ fn lossy(seed: u64) -> (f64, f64, Option<f64>, Option<f64>) {
     let mut setup_s = 0.0;
     let mut run_s = 0.0;
     // TCP.
-    let (s, (mut p, client, received)) = timed(|| {
+    let (s, (mut p, client, received)) = cpu_timed(|| {
         span("transport", "tcp_setup", || {
             let mut p = topology::lossy_internet_pair(derive(seed, 1));
             let sa = TcpStack::new(&mut p.world, p.a);
@@ -454,7 +454,7 @@ fn lossy(seed: u64) -> (f64, f64, Option<f64>, Option<f64>) {
         })
     });
     setup_s += s;
-    let (s, tcp) = timed(|| {
+    let (s, tcp) = cpu_timed(|| {
         span("transport", "tcp_transfer", || {
             let start = p.world.now();
             client.send_all(&mut p.world, &vec![0u8; VRP_BYTES]);
@@ -467,13 +467,13 @@ fn lossy(seed: u64) -> (f64, f64, Option<f64>, Option<f64>) {
     });
     run_s += s;
     // VRP.
-    let (s, mut q) = timed(|| {
+    let (s, mut q) = cpu_timed(|| {
         span("transport", "vrp_setup", || {
             topology::lossy_internet_pair(derive(seed, 2))
         })
     });
     setup_s += s;
-    let (s, vrp) = timed(|| {
+    let (s, vrp) = cpu_timed(|| {
         span("transport", "vrp_transfer", || {
             let udp_a = UdpHost::new(&mut q.world, q.a);
             let udp_b = UdpHost::new(&mut q.world, q.b);
@@ -524,6 +524,9 @@ pub fn run(seed: u64, out: &mut RoundOut) {
         .iter()
         .enumerate()
         .map(|(i, &(name, stack, fig3))| {
+            if i > 0 {
+                harness::calibrate();
+            }
             measure(
                 name,
                 stack,
@@ -543,6 +546,7 @@ pub fn run(seed: u64, out: &mut RoundOut) {
     // with it peak RSS) does not change from seed to seed.
     let bytes = (VTHD_BYTES as f64 * (0.9 + 0.1 * rng.gen_unit())) as usize;
     let mut wan = Vec::new();
+    harness::calibrate();
     for w in 0..VTHD_WORLDS {
         for streams in [1, VTHD_STREAMS] {
             wan.push((streams, vthd(derive(VTHD_TESTBED, w), streams, bytes)));
@@ -559,6 +563,7 @@ pub fn run(seed: u64, out: &mut RoundOut) {
     let (vthd_setup, vthd_run) = wan
         .iter()
         .fold((0.0, 0.0), |(s, r), (_, w)| (s + w.0, r + w.1));
+    harness::calibrate();
     let (lossy_setup, lossy_run, tcp, vrp) = lossy(seed);
 
     // ---- Checks and failure accounting -------------------------------- //

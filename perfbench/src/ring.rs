@@ -52,6 +52,12 @@ struct Shared {
     build_end_ns: Vec<AtomicU64>,
     /// First collector call of the final scrape (ns since `t0`).
     scrape_start_ns: AtomicU64,
+    /// Per worker: its thread's CPU nanoseconds at its latest build-closure
+    /// exit, which is the whole of its set-up (the thread is new).
+    build_cpu_ns: Vec<AtomicU64>,
+    /// Per worker: its thread's CPU nanoseconds at the collector call of
+    /// its last shard, the end of its part of the final scrape.
+    scrape_cpu_ns: Vec<AtomicU64>,
     tally: Mutex<Tally>,
     t0: Instant,
     time_sends: bool,
@@ -80,10 +86,17 @@ fn build_shard(
     let local = Rc::new(RefCell::new(Tally::default()));
     {
         let (local, shared) = (local.clone(), shared.clone());
+        let worker = shard as usize % shared.threads;
+        // A worker scrapes its shards in ascending order, so its last one
+        // marks the end of its scrape; only that one reads the CPU clock.
+        let last_of_worker = shard as usize + shared.threads >= cfg.shards as usize;
         world.metrics.register_collector(move |_b| {
             shared
                 .scrape_start_ns
                 .fetch_min(shared.since_t0(), Ordering::Relaxed);
+            if last_of_worker {
+                shared.scrape_cpu_ns[worker].fetch_max(harness::cpu_ns(), Ordering::Relaxed);
+            }
             let mut mine = local.borrow_mut();
             let mut all = shared
                 .tally
@@ -197,8 +210,13 @@ fn build_shard(
 struct RingRun {
     report: PartitionReport,
     tally: Tally,
+    /// CPU seconds of every worker's set-up.
     setup_s: f64,
+    /// CPU seconds of every worker and the coordinator from the end of
+    /// set-up to the end of the final scrape.
     run_s: f64,
+    /// Wall seconds of the set-up.
+    build_wall_s: f64,
     window_s: f64,
     scrape_s: f64,
     build_s: f64,
@@ -211,6 +229,8 @@ fn ring_run(cfg: &RingConfig, seed: u64, time_sends: bool) -> RingRun {
         build_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         build_end_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         scrape_start_ns: AtomicU64::new(u64::MAX),
+        build_cpu_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
+        scrape_cpu_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         tally: Mutex::new(Tally::default()),
         t0: Instant::now(),
         time_sends,
@@ -222,6 +242,7 @@ fn ring_run(cfg: &RingConfig, seed: u64, time_sends: bool) -> RingRun {
         trunks: Some(cfg.trunks()),
         seed,
     };
+    let coordinator_cpu = harness::cpu_ns();
     let report = run_partitioned(&part, |shard, world| {
         let start = shared.since_t0();
         build_shard(cfg, seed, shard, world, &shared);
@@ -229,12 +250,16 @@ fn ring_run(cfg: &RingConfig, seed: u64, time_sends: bool) -> RingRun {
         let worker = shard as usize % shared.threads;
         shared.build_ns[worker].fetch_add(end - start, Ordering::Relaxed);
         shared.build_end_ns[worker].fetch_max(end, Ordering::Relaxed);
+        shared.build_cpu_ns[worker].fetch_max(harness::cpu_ns(), Ordering::Relaxed);
     });
+    let coordinator_cpu = harness::cpu_ns() - coordinator_cpu;
     let end_ns = shared.since_t0();
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
     let setup_ns = shared.build_end_ns.iter().map(load).max().unwrap_or(0);
     let scrape_ns = load(&shared.scrape_start_ns).clamp(setup_ns, end_ns);
     let build_ns = shared.build_ns.iter().map(load).max().unwrap_or(0);
+    let build_cpu: u64 = shared.build_cpu_ns.iter().map(load).sum();
+    let scrape_cpu: u64 = shared.scrape_cpu_ns.iter().map(load).sum();
     let tally = std::mem::take(
         &mut *shared
             .tally
@@ -244,8 +269,9 @@ fn ring_run(cfg: &RingConfig, seed: u64, time_sends: bool) -> RingRun {
     RingRun {
         report,
         tally,
-        setup_s: setup_ns as f64 / 1e9,
-        run_s: (end_ns - setup_ns) as f64 / 1e9,
+        setup_s: build_cpu as f64 / 1e9,
+        run_s: (scrape_cpu.saturating_sub(build_cpu) + coordinator_cpu) as f64 / 1e9,
+        build_wall_s: setup_ns as f64 / 1e9,
         window_s: (scrape_ns - setup_ns) as f64 / 1e9,
         scrape_s: (end_ns - scrape_ns) as f64 / 1e9,
         build_s: build_ns as f64 / 1e9,
@@ -278,7 +304,7 @@ pub fn run(seed: u64, out: &mut RoundOut) {
     harness::begin_op();
     let t = harness::now_ns();
     let run = ring_run(&cfg, seed, traced);
-    let setup_end = t + (run.setup_s * 1e9) as u64;
+    let setup_end = t + (run.build_wall_s * 1e9) as u64;
     let scrape_start = setup_end + (run.window_s * 1e9) as u64;
     harness::record_span("shard", "build", t, setup_end);
     harness::record_span("shard", "window", setup_end, scrape_start);
