@@ -13,7 +13,9 @@
 //!      packing, per-link adapters);
 //!      plus the [`selector`] that picks the adapter for each link from the
 //!      topology knowledge base and user preferences, and the
-//!      [`madio_stream`] cross-paradigm driver (streams over a SAN).
+//!      [`madio_stream`] cross-paradigm driver (streams over a SAN), and
+//!      the [`framing`] reassembler that turns a VLink byte stream back
+//!      into length-prefixed messages.
 //! 3. **Personalities** — thin syntax adapters in [`personality`]: Vio,
 //!    SysWrap, Aio, FastMessage and a virtual Madeleine API.
 //!
@@ -27,6 +29,7 @@
 
 pub mod churn;
 pub mod circuit;
+pub mod framing;
 pub mod madio_stream;
 pub mod personality;
 pub mod relay;
@@ -42,6 +45,7 @@ pub use churn::{
 pub use circuit::{
     Circuit, CircuitLink, CircuitLinkKind, CircuitMessage, MadIoCircuitLink, StreamCircuitLink,
 };
+pub use framing::{LengthPrefix, MessageReassembler};
 pub use madio_stream::{MadStream, MadStreamDriver};
 pub use relay::{install_gateway_proxy, GatewayProxy, GatewayProxyStats, GATEWAY_PROXY_SERVICE};
 pub use runtime::{

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use padico_core::{PadicoRuntime, VLink};
+use padico_core::{LengthPrefix, MessageReassembler, PadicoRuntime, VLink};
 use simnet::{NodeId, SimWorld};
 
 use crate::cost::MiddlewareCost;
@@ -261,8 +261,11 @@ fn encode_message(
     object_key: &str,
     operation: &str,
     body: &IdlValue,
-) -> Vec<u8> {
-    let mut payload = BytesMut::new();
+) -> Bytes {
+    // Sized for the header fields plus the body's tag byte, alignment
+    // padding and value, so a bulk body is copied in without regrowing.
+    let mut payload =
+        BytesMut::with_capacity(13 + object_key.len() + operation.len() + 8 + body.payload_size());
     payload.put_u8(msg_type);
     payload.put_u64(request_id);
     payload.put_u16(object_key.len() as u16);
@@ -270,11 +273,9 @@ fn encode_message(
     payload.put_u16(operation.len() as u16);
     payload.extend_from_slice(operation.as_bytes());
     cdr_encode(body, &mut payload);
-    // Length-prefixed framing (GIOP header).
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    out
+    // Length-prefixed framing (GIOP header). CDR alignment is relative to
+    // the payload start, so the prefix is added in front afterwards.
+    LengthPrefix::U32Be.frame(&payload)
 }
 
 struct DecodedMessage {
@@ -285,8 +286,9 @@ struct DecodedMessage {
     body: IdlValue,
 }
 
-fn decode_message(payload: &[u8]) -> Option<DecodedMessage> {
-    let mut buf = Bytes::copy_from_slice(payload);
+/// Decodes one GIOP payload (without its length prefix). Octet sequences
+/// in the body share `buf`'s storage.
+fn decode_message(mut buf: Bytes) -> Option<DecodedMessage> {
     let mut consumed = 0usize;
     if buf.remaining() < 13 {
         return None;
@@ -356,7 +358,7 @@ pub struct OrbStats {
 
 struct OrbConnection {
     vlink: VLink,
-    rx: RefCell<Vec<u8>>,
+    rx: RefCell<MessageReassembler>,
 }
 
 /// An object reference: where the object lives and how to name it.
@@ -488,7 +490,7 @@ impl Orb {
         let cost = self.inner.borrow().cost.send_cost(arg.payload_size());
         let vlink = conn.vlink.clone();
         world.schedule_after(cost, move |world| {
-            vlink.post_write(world, &wire);
+            vlink.post_write_bytes(world, wire);
         });
     }
 
@@ -520,7 +522,7 @@ impl Orb {
     ) -> Rc<OrbConnection> {
         let conn = Rc::new(OrbConnection {
             vlink: vlink.clone(),
-            rx: RefCell::new(Vec::new()),
+            rx: RefCell::new(MessageReassembler::new(LengthPrefix::U32Be)),
         });
         let orb = self.clone();
         let conn2 = conn.clone();
@@ -533,19 +535,10 @@ impl Orb {
     }
 
     fn on_readable(&self, world: &mut SimWorld, conn: &Rc<OrbConnection>) {
-        let data = conn.vlink.read_now(world, usize::MAX);
         let mut rx = conn.rx.borrow_mut();
-        rx.extend_from_slice(&data);
-        loop {
-            if rx.len() < 4 {
-                return;
-            }
-            let len = u32::from_be_bytes(rx[0..4].try_into().unwrap()) as usize;
-            if rx.len() < 4 + len {
-                return;
-            }
-            let frame: Vec<u8> = rx.drain(..4 + len).skip(4).collect();
-            let Some(msg) = decode_message(&frame) else {
+        rx.read_from(world, &conn.vlink);
+        while let Some(frame) = rx.next_message() {
+            let Some(msg) = decode_message(frame) else {
                 continue;
             };
             match msg.msg_type {
@@ -612,7 +605,7 @@ impl Orb {
         let cost = self.inner.borrow().cost.send_cost(result.payload_size());
         let vlink = conn.vlink.clone();
         world.schedule_after(cost, move |world| {
-            vlink.post_write(world, &wire);
+            vlink.post_write_bytes(world, wire);
         });
     }
 }
@@ -653,7 +646,7 @@ mod tests {
     #[test]
     fn giop_message_roundtrip() {
         let wire = encode_message(MSG_REQUEST, 7, "calculator", "add", &IdlValue::Long(3));
-        let msg = decode_message(&wire[4..]).unwrap();
+        let msg = decode_message(wire.slice(4..)).unwrap();
         assert_eq!(msg.msg_type, MSG_REQUEST);
         assert_eq!(msg.request_id, 7);
         assert_eq!(msg.object_key, "calculator");
@@ -723,6 +716,33 @@ mod tests {
         );
         world.run();
         assert!(got.get());
+    }
+
+    #[test]
+    fn bulk_octets_reach_the_servant_intact() {
+        let (mut world, client, server, nodes) = orb_pair(OrbImpl::OmniOrb4);
+        let received = Rc::new(RefCell::new(None));
+        let r = received.clone();
+        server.register_servant("sink", move |_w, _op, arg| {
+            *r.borrow_mut() = Some(arg);
+            IdlValue::Void
+        });
+        server.activate(&mut world, 1075);
+        let objref = client.object_ref(nodes[1], 1075, "sink");
+        let sent: Vec<u8> = (0..(1 << 20) + 3).map(|i| (i % 251) as u8).collect();
+        let replied = Rc::new(Cell::new(false));
+        let d = replied.clone();
+        let payload = IdlValue::Octets(Bytes::from(sent.clone()));
+        client.invoke(&mut world, &objref, "put", payload, move |_w, _| {
+            d.set(true)
+        });
+        world.run();
+        assert!(replied.get());
+        let got = received.borrow_mut().take();
+        match got {
+            Some(IdlValue::Octets(got)) => assert!(got[..] == sent[..], "payload corrupted"),
+            other => panic!("servant got {other:?}"),
+        }
     }
 
     #[test]

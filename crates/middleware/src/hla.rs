@@ -11,7 +11,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use padico_core::{PadicoRuntime, VLink};
+use bytes::Bytes;
+use padico_core::{LengthPrefix, MessageReassembler, PadicoRuntime, VLink, VLinkEvent};
 use simnet::{NodeId, SimWorld};
 
 use crate::cost::MiddlewareCost;
@@ -22,12 +23,8 @@ pub type ReflectCallback = Box<dyn FnMut(&mut SimWorld, String, String, f64)>;
 pub type GrantCallback = Box<dyn FnMut(&mut SimWorld, f64)>;
 
 // Wire: simple line protocol, length-prefixed.
-fn frame(parts: &[&str]) -> Vec<u8> {
-    let body = parts.join("\x1f");
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body.as_bytes());
-    out
+fn frame(parts: &[&str]) -> Bytes {
+    LengthPrefix::U32Be.frame(parts.join("\x1f").as_bytes())
 }
 
 struct FederateState {
@@ -82,23 +79,14 @@ impl RtiGateway {
         }));
         self.inner.borrow_mut().federates.push(state.clone());
         let gw = self.clone();
-        let rx = Rc::new(RefCell::new(Vec::<u8>::new()));
+        let link = vlink.clone();
+        let mut rx = MessageReassembler::new(LengthPrefix::U32Be);
         vlink.set_handler(move |world, event| {
-            if event != padico_core::VLinkEvent::Readable {
+            if event != VLinkEvent::Readable {
                 return;
             }
-            let data = state.borrow().vlink.read_now(world, usize::MAX);
-            let mut buf = rx.borrow_mut();
-            buf.extend_from_slice(&data);
-            loop {
-                if buf.len() < 4 {
-                    return;
-                }
-                let len = u32::from_be_bytes(buf[0..4].try_into().unwrap()) as usize;
-                if buf.len() < 4 + len {
-                    return;
-                }
-                let body: Vec<u8> = buf.drain(..4 + len).skip(4).collect();
+            rx.read_from(world, &link);
+            while let Some(body) = rx.next_message() {
                 let text = String::from_utf8_lossy(&body).into_owned();
                 let parts: Vec<String> = text.split('\x1f').map(|s| s.to_string()).collect();
                 gw.handle(world, &state, &parts);
@@ -137,7 +125,7 @@ impl RtiGateway {
                 let wire = frame(&["REFLECT", &class, &attribute, &value, &time.to_string()]);
                 world.schedule_after(cost, move |world| {
                     for v in &subscribers {
-                        v.post_write(world, &wire);
+                        v.post_write_bytes(world, wire.clone());
                     }
                 });
             }
@@ -180,7 +168,7 @@ impl RtiGateway {
                     f.current_time = t;
                 }
                 let wire = frame(&["GRANT", &t.to_string()]);
-                fed.borrow().vlink.post_write(world, &wire);
+                fed.borrow().vlink.post_write_bytes(world, wire);
             }
         }
     }
@@ -198,7 +186,7 @@ struct FederateLocal {
     time: f64,
     on_reflect: Option<ReflectCallback>,
     on_grant: Option<GrantCallback>,
-    rx: Vec<u8>,
+    rx: MessageReassembler,
 }
 
 impl Federate {
@@ -217,14 +205,14 @@ impl Federate {
                 time: 0.0,
                 on_reflect: None,
                 on_grant: None,
-                rx: Vec::new(),
+                rx: MessageReassembler::new(LengthPrefix::U32Be),
             })),
             cost: Rc::new(MiddlewareCost::hla_certi()),
         };
-        vlink.post_write(world, &frame(&["JOIN", name]));
+        vlink.post_write_bytes(world, frame(&["JOIN", name]));
         let f2 = fed.clone();
         vlink.set_handler(move |world, event| {
-            if event == padico_core::VLinkEvent::Readable {
+            if event == VLinkEvent::Readable {
                 f2.on_readable(world);
             }
         });
@@ -238,12 +226,13 @@ impl Federate {
 
     /// Subscribes to an object class.
     pub fn subscribe(&self, world: &mut SimWorld, class: &str) {
-        self.vlink.post_write(world, &frame(&["SUBSCRIBE", class]));
+        self.vlink
+            .post_write_bytes(world, frame(&["SUBSCRIBE", class]));
     }
 
     /// Declares this federate time-regulating.
     pub fn enable_time_regulation(&self, world: &mut SimWorld) {
-        self.vlink.post_write(world, &frame(&["REGULATING"]));
+        self.vlink.post_write_bytes(world, frame(&["REGULATING"]));
     }
 
     /// Publishes an attribute update at logical time `time`.
@@ -259,14 +248,14 @@ impl Federate {
         let wire = frame(&["UPDATE", class, attribute, value, &time.to_string()]);
         let vlink = self.vlink.clone();
         world.schedule_after(cost, move |world| {
-            vlink.post_write(world, &wire);
+            vlink.post_write_bytes(world, wire);
         });
     }
 
     /// Requests a time advance to `t`.
     pub fn request_time_advance(&self, world: &mut SimWorld, t: f64) {
         self.vlink
-            .post_write(world, &frame(&["ADVANCE", &t.to_string()]));
+            .post_write_bytes(world, frame(&["ADVANCE", &t.to_string()]));
     }
 
     /// Registers the callback for reflected attribute updates.
@@ -280,25 +269,13 @@ impl Federate {
     }
 
     fn on_readable(&self, world: &mut SimWorld) {
-        let data = self.vlink.read_now(world, usize::MAX);
-        let frames = {
+        let frames: Vec<Bytes> = {
             let mut st = self.state.borrow_mut();
-            st.rx.extend_from_slice(&data);
-            let mut frames = Vec::new();
-            loop {
-                if st.rx.len() < 4 {
-                    break;
-                }
-                let len = u32::from_be_bytes(st.rx[0..4].try_into().unwrap()) as usize;
-                if st.rx.len() < 4 + len {
-                    break;
-                }
-                let body: Vec<u8> = st.rx.drain(..4 + len).skip(4).collect();
-                frames.push(String::from_utf8_lossy(&body).into_owned());
-            }
-            frames
+            st.rx.read_from(world, &self.vlink);
+            std::iter::from_fn(|| st.rx.next_message()).collect()
         };
-        for text in frames {
+        for body in frames {
+            let text = String::from_utf8_lossy(&body);
             let parts: Vec<&str> = text.split('\x1f').collect();
             match parts.first().copied() {
                 Some("REFLECT") => {

@@ -8,6 +8,7 @@
 
 use std::rc::Rc;
 
+use bytes::Bytes;
 use padico_core::{PadicoRuntime, VLink};
 use simnet::{NodeId, SimWorld};
 
@@ -63,10 +64,10 @@ impl JavaSocket {
     /// `OutputStream.write`: queues the whole buffer.
     pub fn write(&self, world: &mut SimWorld, data: &[u8]) {
         let vlink = self.vlink.clone();
-        let payload = data.to_vec();
+        let payload = Bytes::copy_from_slice(data);
         let cost = self.cost.send_cost(data.len());
         world.schedule_after(cost, move |world| {
-            vlink.post_write(world, &payload);
+            vlink.post_write_bytes(world, payload);
         });
     }
 

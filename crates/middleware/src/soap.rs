@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use padico_core::{PadicoRuntime, VLink};
+use padico_core::{LengthPrefix, MessageReassembler, PadicoRuntime, VLink};
 use simnet::{NodeId, SimWorld};
 
 use crate::cost::MiddlewareCost;
@@ -131,7 +131,7 @@ struct Inner {
 
 struct Conn {
     vlink: VLink,
-    rx: RefCell<String>,
+    rx: RefCell<MessageReassembler>,
 }
 
 /// A SOAP endpoint (client and server in one, like gSOAP).
@@ -196,8 +196,7 @@ impl SoapEndpoint {
         let cost = self.inner.borrow().cost.send_cost(envelope.len());
         let vlink = conn.vlink.clone();
         world.schedule_after(cost, move |world| {
-            let framed = format!("{:08x}{}", envelope.len(), envelope);
-            vlink.post_write(world, framed.as_bytes());
+            vlink.post_write_bytes(world, LengthPrefix::Hex8.frame(envelope.as_bytes()));
         });
     }
 
@@ -224,7 +223,7 @@ impl SoapEndpoint {
     fn attach(&self, _world: &mut SimWorld, vlink: VLink) -> Rc<Conn> {
         let conn = Rc::new(Conn {
             vlink: vlink.clone(),
-            rx: RefCell::new(String::new()),
+            rx: RefCell::new(MessageReassembler::new(LengthPrefix::Hex8)),
         });
         let ep = self.clone();
         let conn2 = conn.clone();
@@ -237,24 +236,12 @@ impl SoapEndpoint {
     }
 
     fn on_readable(&self, world: &mut SimWorld, conn: &Rc<Conn>) {
-        let data = conn.vlink.read_now(world, usize::MAX);
         let mut rx = conn.rx.borrow_mut();
-        rx.push_str(&String::from_utf8_lossy(&data));
-        loop {
-            if rx.len() < 8 {
-                return;
-            }
-            let len = match usize::from_str_radix(&rx[..8], 16) {
-                Ok(l) => l,
-                Err(_) => {
-                    rx.clear();
-                    return;
-                }
-            };
-            if rx.len() < 8 + len {
-                return;
-            }
-            let envelope: String = rx.drain(..8 + len).skip(8).collect();
+        rx.read_from(world, &conn.vlink);
+        while let Some(frame) = rx.next_message() {
+            // Decoded once per complete envelope: a multi-byte character
+            // may straddle the chunks the stream delivered.
+            let envelope = String::from_utf8_lossy(&frame);
             let Some((kind, id, call)) = decode_envelope(&envelope) else {
                 continue;
             };
@@ -292,8 +279,7 @@ impl SoapEndpoint {
         let cost = self.inner.borrow().cost.send_cost(envelope.len());
         let vlink = conn.vlink.clone();
         world.schedule_after(cost, move |world| {
-            let framed = format!("{:08x}{}", envelope.len(), envelope);
-            vlink.post_write(world, framed.as_bytes());
+            vlink.post_write_bytes(world, LengthPrefix::Hex8.frame(envelope.as_bytes()));
         });
     }
 }
@@ -344,6 +330,38 @@ mod tests {
         assert_eq!(resp.method, "statusResponse");
         assert_eq!(resp.get("job"), Some("cfd-17"));
         assert_eq!(resp.get("progress"), Some("73%"));
+    }
+
+    #[test]
+    fn multibyte_text_survives_chunked_delivery() {
+        // Over TCP the envelope arrives in segments, which split the
+        // three-byte "€" at arbitrary points.
+        for repeat in [1000, 5000] {
+            let p = topology::pair_over(107, simnet::NetworkSpec::ethernet_100());
+            let mut world = p.world;
+            let nodes = vec![p.a, p.b];
+            let rts =
+                padico_core::runtimes_for_lan(&mut world, &nodes, SelectorPreferences::default());
+            let server = SoapEndpoint::new(rts[1].clone());
+            let client = SoapEndpoint::new(rts[0].clone());
+            server.serve(&mut world, 1400, "echo", |_w, call| {
+                SoapCall::new("echoResponse").param("text", call.get("text").unwrap_or(""))
+            });
+            let text = "€".repeat(repeat);
+            let got = Rc::new(RefCell::new(None));
+            let g = got.clone();
+            client.call(
+                &mut world,
+                nodes[1],
+                1400,
+                SoapCall::new("echo").param("text", &text),
+                move |_w, resp| *g.borrow_mut() = Some(resp),
+            );
+            world.run();
+            let resp = got.borrow().clone().expect("reply delivered");
+            assert_eq!(resp.get("text").map(str::len), Some(3 * repeat));
+            assert_eq!(resp.get("text"), Some(text.as_str()));
+        }
     }
 
     #[test]
